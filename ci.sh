@@ -461,6 +461,13 @@ if [ "${1:-}" != "--fast" ]; then
     cargo run -q --release -p semcc-bench --bin table_serve -- --quick \
         > "$tmpdir/table_serve.txt"
     echo "   table_serve: all rows committed, audited clean, deterministic"
+
+    echo "== perfbench tests (quick mode: invariants, quiescence, accounting) =="
+    # Short runs of every workload with version GC active; a run whose
+    # invariant, quiescence or accounting checks fail prints
+    # `correct: false` and fails the suite.
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml > /dev/null
+    echo "   perfbench: every workload correct in quick mode"
 fi
 
 echo "== rustdoc (warnings are errors) =="

@@ -13,15 +13,15 @@
 //!    waiters.
 //! 2. **No uncommitted versions** — no item or row slot carries a dirty
 //!    version owned by the victim.
-//! 3. **Snapshot deregistered** — the MVCC oracle retains no snapshot for
-//!    the victim.
+//! 3. **Snapshot deregistered** — the MVCC oracle retains no snapshot (or
+//!    RC+FCW watermark pin) for the victim.
 //! 4. **Store = committed-prefix replay** — (whole-engine check) the
 //!    committed state equals a replay of only the committed transactions'
 //!    recorded effects onto an identically seeded fresh engine.
 
 use crate::engine::Engine;
 use crate::history::Op;
-use semcc_storage::{Ts, TxnId};
+use semcc_storage::{Ts, TxnId, View};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -148,8 +148,8 @@ pub fn audit_post_abort(engine: &Engine, victim: TxnId) -> AuditReport {
 }
 
 /// Whole-engine quiescence: with no transaction in flight, nothing in the
-/// store may be dirty and the lock table and snapshot registry must be
-/// empty.
+/// store may be dirty and the lock table and snapshot registry (snapshots
+/// and RC+FCW watermark pins) must be empty.
 pub fn audit_quiescent(engine: &Engine) -> AuditReport {
     let mut rep = AuditReport::default();
 
@@ -273,7 +273,7 @@ fn replay_committed(
                 Op::RowInsert { table, id, row } | Op::RowUpdate { table, id, row } => {
                     match fresh.store.table(table) {
                         Ok(t) => {
-                            let _ = t.install(ts, *id, Some(row.clone()));
+                            let _ = t.install(ts, *id, Some(row.clone()), 0);
                         }
                         Err(_) => rep.violations.push(AuditViolation {
                             txn,
@@ -284,7 +284,7 @@ fn replay_committed(
                 }
                 Op::RowDelete { table, id } => {
                     if let Ok(t) = fresh.store.table(table) {
-                        let _ = t.install(ts, *id, None);
+                        let _ = t.install(ts, *id, None, 0);
                     }
                 }
                 _ => {}
@@ -330,8 +330,8 @@ fn compare_committed(live: &Engine, other: &Engine, what: &str) -> AuditReport {
     }
     for table in &live_tables {
         rep.checks += 1;
-        let a = live.store.table(table).map(|t| t.scan_committed()).unwrap_or_default();
-        let b = other.store.table(table).map(|t| t.scan_committed()).unwrap_or_default();
+        let a = live.store.table(table).map(|t| t.scan_all(View::Committed)).unwrap_or_default();
+        let b = other.store.table(table).map(|t| t.scan_all(View::Committed)).unwrap_or_default();
         if a != b {
             rep.violations.push(AuditViolation {
                 txn: 0,
@@ -361,7 +361,7 @@ pub fn committed_digest(engine: &Engine) -> String {
     }
     for table in engine.store.table_names() {
         if let Ok(t) = engine.store.table(&table) {
-            for (id, row) in t.scan_committed() {
+            for (id, row) in t.scan_all(View::Committed) {
                 let ts = t.row_commit_ts(id).unwrap_or(0);
                 out.push_str(&format!("row {table}[{id}]={row:?}@{ts}\n"));
             }

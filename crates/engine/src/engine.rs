@@ -8,9 +8,15 @@ use semcc_lock::manager::LockConfig;
 use semcc_lock::LockManager;
 use semcc_mvcc::Oracle;
 use semcc_storage::wal::{Wal, WalRecord};
-use semcc_storage::{Schema, StorageError, Store, Value};
+use semcc_storage::{Schema, StorageError, Store, Ts, Value, View};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Every this many commit timestamps, the committing transaction sweeps
+/// the whole engine with [`Engine::gc`]. Commits already prune each version
+/// chain they push to; the sweep drops the commit-log entries and row slots
+/// that no later push reaches.
+pub const GC_EVERY: Ts = 1024;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -191,7 +197,7 @@ impl Engine {
 
     /// Administrative scan of a table's committed rows.
     pub fn peek_table(&self, table: &str) -> Result<Vec<(u64, Vec<Value>)>, StorageError> {
-        Ok(self.store.table(table)?.scan_committed())
+        Ok(self.store.table(table)?.scan_all(View::Committed))
     }
 
     /// The shared history.

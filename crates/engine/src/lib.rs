@@ -36,7 +36,7 @@ pub use audit::{
     audit_committed_replay, audit_post_abort, audit_quiescent, audit_recovery, committed_digest,
     AuditReport, RecoveryAudit,
 };
-pub use engine::{Engine, EngineConfig, EngineTuning};
+pub use engine::{Engine, EngineConfig, EngineTuning, GC_EVERY};
 pub use error::EngineError;
 pub use history::{Event, History, Op, ReadSrc};
 pub use level::IsolationLevel;

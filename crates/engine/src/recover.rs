@@ -26,7 +26,7 @@
 
 use crate::engine::{Engine, EngineConfig};
 use semcc_storage::wal::{read_records, Lsn, WalRecord};
-use semcc_storage::{Row, RowId, Ts, TxnId, Value};
+use semcc_storage::{Row, RowId, Ts, TxnId, Value, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -196,7 +196,7 @@ pub fn recover(wal_bytes: &[u8]) -> Result<Recovered, String> {
                 }
                 for (table, id, _, _) in &track.rows {
                     if let Ok(t) = engine.store().table(table) {
-                        t.promote_row(*txn, *id, *ts);
+                        t.promote_row(*txn, *id, *ts, 0);
                         t.stamp_row_lsn(*id, *lsn);
                         stats.redo_applied += 1;
                     }
@@ -214,7 +214,7 @@ pub fn recover(wal_bytes: &[u8]) -> Result<Recovered, String> {
                         }
                         WalRecord::RowInstall { table, id, row, .. } => {
                             if let Ok(t) = engine.store().table(table) {
-                                let _ = t.install(*ts, *id, row.clone());
+                                let _ = t.install(*ts, *id, row.clone(), 0);
                                 t.stamp_row_lsn(*id, *lsn);
                                 stats.redo_applied += 1;
                             }
@@ -264,7 +264,7 @@ fn undo_track(engine: &Engine, txn: TxnId, track: &TxnTrack, mismatches: &mut u6
     for (table, id, before, born) in track.rows.iter().rev() {
         if let Ok(t) = engine.store().table(table) {
             t.discard_row(txn, *id);
-            let now = t.read_row_latest(*id);
+            let now = t.read_row(View::Latest, *id);
             let expect = if *born { None } else { before.clone() };
             if now != expect {
                 *mismatches += 1;

@@ -1,7 +1,7 @@
 //! Integration tests: the engine exhibits exactly the per-level anomaly
 //! menagerie the paper's theorems reason about.
 
-use semcc_engine::{Engine, EngineConfig, EngineError, IsolationLevel, Value};
+use semcc_engine::{Engine, EngineConfig, EngineError, IsolationLevel, Value, GC_EVERY};
 use semcc_logic::row::RowPred;
 use semcc_storage::Schema;
 use std::sync::Arc;
@@ -518,6 +518,63 @@ fn gc_never_steals_versions_from_active_snapshots() {
     let mut after = e.begin(Snapshot);
     assert_eq!(after.read("sav").expect("read"), Value::Int(9));
     after.abort();
+}
+
+#[test]
+fn gc_keeps_the_commit_log_entry_an_rc_fcw_check_needs() {
+    // T1 (RC+FCW) reads sav; T2 overwrites it and commits; GC runs; T1
+    // writes sav. T1's first-committer-wins check needs T2's commit-log
+    // entry, so GC must not drop it: with or without GC, T1 loses.
+    for run_gc in [false, true] {
+        let e = engine();
+        bank(&e);
+        let mut t1 = e.begin(ReadCommittedFcw);
+        assert_eq!(t1.read("sav").expect("read"), Value::Int(100));
+        let mut t2 = e.begin(ReadCommitted);
+        t2.write("sav", 50).expect("write");
+        t2.commit().expect("commit");
+        if run_gc {
+            e.gc();
+        }
+        t1.write("sav", 90).expect("write");
+        let r = t1.commit();
+        assert!(matches!(r, Err(EngineError::Fcw(_))), "gc={run_gc}: lost update, got {r:?}");
+        assert_eq!(e.peek_item("sav").expect("peek"), Value::Int(50));
+        assert_eq!(e.oracle().active_snapshots(), 0, "the RC+FCW pin is released on abort");
+    }
+}
+
+#[test]
+fn every_gc_every_commits_sweep_the_commit_log() {
+    // Each insert leaves a `last_write` entry for its new row; nothing but
+    // the commit cadence removes them.
+    let e = engine();
+    orders(&e);
+    let insert = |i: i64| {
+        let mut t = e.begin(ReadCommitted);
+        let row = vec![Value::Int(i), Value::str("c"), Value::Int(9), Value::bool(false)];
+        t.insert("orders", row).expect("insert");
+        t.commit().expect("commit")
+    };
+    for i in 1..GC_EVERY {
+        insert(i as i64);
+    }
+    assert_eq!(e.oracle().log_len() as u64, GC_EVERY - 1);
+    assert_eq!(insert(0), GC_EVERY);
+    assert_eq!(e.oracle().log_len(), 0, "the commit at GC_EVERY swept the log");
+}
+
+#[test]
+fn rc_fcw_pin_is_released_on_commit() {
+    let e = engine();
+    bank(&e);
+    let mut t = e.begin(ReadCommittedFcw);
+    assert_eq!(e.oracle().active_snapshots(), 1, "RC+FCW pins the watermark at begin");
+    t.read("sav").expect("read");
+    t.write("sav", 1).expect("write");
+    t.commit().expect("commit");
+    assert_eq!(e.oracle().active_snapshots(), 0);
+    assert!(semcc_engine::audit::audit_quiescent(&e).clean());
 }
 
 #[test]

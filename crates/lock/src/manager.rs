@@ -314,8 +314,7 @@ impl LockManager {
             if let Some(cycle) = self.find_cycle(&snap, &waiter) {
                 let mut state = shard.state.lock();
                 state.waiters.retain(|w| w.seq != seq);
-                drop(state);
-                shard.cv.notify_all();
+                Self::wake(shard, state);
                 self.deadlocks.fetch_add(1, Ordering::Relaxed);
                 return Err(LockError::Deadlock { victim: txn, cycle });
             }
@@ -328,8 +327,7 @@ impl LockManager {
                 }
                 if shard.cv.wait_until(&mut state, deadline).timed_out() {
                     state.waiters.retain(|w| w.seq != seq);
-                    drop(state);
-                    shard.cv.notify_all();
+                    Self::wake(shard, state);
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
                     return Err(LockError::Timeout { txn });
                 }
@@ -337,12 +335,23 @@ impl LockManager {
         }
 
         self.install_grant(&mut state, txn, target, mode);
-        drop(state);
         // Granting may unblock fairness-ordered waiters behind us only when
         // locks are *released*, but an upgrade consumed a waiter slot —
         // conservatively wake everyone to re-check.
-        shard.cv.notify_all();
+        Self::wake(shard, state);
         Ok(())
+    }
+
+    /// Release the shard's mutex and wake its waiters, if it has any. A
+    /// waiter registers in `waiters` under the mutex before it sleeps and
+    /// stays there until it leaves the wait loop, so an empty list means
+    /// nobody can miss the wake-up — and the notify syscall is skipped.
+    fn wake(shard: &Shard, state: parking_lot::MutexGuard<'_, State>) {
+        let waiting = !state.waiters.is_empty();
+        drop(state);
+        if waiting {
+            shard.cv.notify_all();
+        }
     }
 
     fn install_grant(&self, state: &mut State, txn: u64, target: Target, mode: Mode) {
@@ -446,8 +455,7 @@ impl LockManager {
                 state.grants.remove(pos);
             }
         }
-        drop(state);
-        shard.cv.notify_all();
+        Self::wake(shard, state);
     }
 
     /// Release every lock held by `txn` (commit/abort).
@@ -457,10 +465,10 @@ impl LockManager {
             let before = state.grants.len() + state.waiters.len();
             state.grants.retain(|g| g.txn != txn);
             state.waiters.retain(|w| w.txn != txn);
-            let changed = before != state.grants.len() + state.waiters.len();
-            drop(state);
-            if changed || self.shards.len() == 1 {
-                shard.cv.notify_all();
+            // A shard this transaction held nothing in changed no one's
+            // grantability.
+            if before != state.grants.len() + state.waiters.len() {
+                Self::wake(shard, state);
             }
         }
     }
@@ -773,5 +781,43 @@ mod tests {
         assert_eq!((s.waits, s.timeouts), (1, 1));
         m.clear();
         assert_eq!(m.stats(), LockStats::default());
+    }
+
+    /// A waiter blocked on `x` must be woken by `unblock` well before its
+    /// 10 s timeout: the manager skips the notify only when no waiter is
+    /// registered, and this one is.
+    fn assert_wakes(shards: usize, hold: Mode, unblock: impl FnOnce(&LockManager)) {
+        let m = Arc::new(LockManager::new(LockConfig {
+            wait_timeout: Duration::from_secs(10),
+            shards,
+            ..LockConfig::default()
+        }));
+        m.acquire(1, Target::item("x"), hold).expect("t1");
+        let m2 = m.clone();
+        let h = std::thread::spawn(move || {
+            let start = Instant::now();
+            m2.acquire(2, Target::item("x"), Mode::X).map(|()| start.elapsed())
+        });
+        while m.total_waiters() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        unblock(&m);
+        let waited = h.join().expect("join").expect("t2 granted");
+        assert!(waited < Duration::from_secs(5), "waiter slept {waited:?}: wake-up lost");
+        assert_eq!(m.total_waiters(), 0);
+    }
+
+    #[test]
+    fn release_wakes_a_blocked_waiter() {
+        for shards in [1, 32] {
+            assert_wakes(shards, Mode::S, |m| m.release(1, &Target::item("x")));
+        }
+    }
+
+    #[test]
+    fn release_all_wakes_a_blocked_waiter() {
+        for shards in [1, 32] {
+            assert_wakes(shards, Mode::X, |m| m.release_all(1));
+        }
     }
 }

@@ -67,7 +67,10 @@ pub struct Oracle {
     /// Last assigned commit timestamp. Snapshot reads use this as "now".
     last_commit: AtomicU64,
     log: Mutex<CommitLog>,
-    /// Active snapshots: snapshot ts per transaction (for the GC watermark).
+    /// Registered transactions and the timestamp each pins (the GC
+    /// watermark is their minimum): every snapshot, and every RC+FCW
+    /// transaction's begin timestamp, below which its commit check never
+    /// looks.
     snapshots: Mutex<BTreeMap<TxnId, Ts>>,
     /// SSI registry: SIREAD locks, write intents, and rw-antidependency
     /// flags per tracked transaction. Lock order: `log` before `ssi`
@@ -125,6 +128,11 @@ impl Oracle {
 
     /// Register an active snapshot at the current timestamp; returns the
     /// snapshot timestamp the transaction reads at.
+    ///
+    /// RC+FCW transactions register here too. Their commit check compares
+    /// each read version's timestamp with the key's `last_write` entry, and
+    /// any write they did not see commits after their begin timestamp, so
+    /// pinning that timestamp keeps every entry the check needs.
     pub fn begin_snapshot(&self, txn: TxnId) -> Ts {
         // Take the log lock so no commit can slide between reading "now"
         // and registering the snapshot (which would let GC collect a
@@ -180,7 +188,8 @@ impl Oracle {
         self.next_txn.fetch_max(id + 1, Ordering::AcqRel);
     }
 
-    /// The GC watermark: no active snapshot reads below this timestamp.
+    /// The GC watermark: no registered transaction reads, or checks a
+    /// commit against, anything below this timestamp.
     pub fn watermark(&self) -> Ts {
         let snaps = self.snapshots.lock();
         snaps.values().copied().min().unwrap_or_else(|| self.current_ts())
@@ -198,7 +207,7 @@ impl Oracle {
         checks: &[(Key, Ts)],
         writes: &[Key],
     ) -> Result<Ts, FcwConflict> {
-        self.validate_and_commit_with(checks, writes, |_| {})
+        self.validate_and_commit_with(checks, writes, |_, _| {})
     }
 
     /// Like [`Oracle::validate_and_commit`], but runs `install` (which
@@ -206,11 +215,15 @@ impl Oracle {
     /// commit critical section. Because [`Oracle::begin_snapshot`] takes the
     /// same lock, no snapshot can start at a timestamp whose versions are
     /// not yet installed — the commit is atomic from every reader's view.
+    ///
+    /// `install` gets the commit timestamp and the current watermark. No
+    /// transaction can register while the section runs, so versions the
+    /// watermark hides may be pruned as the new ones are pushed.
     pub fn validate_and_commit_with(
         &self,
         checks: &[(Key, Ts)],
         writes: &[Key],
-        install: impl FnOnce(Ts),
+        install: impl FnOnce(Ts, Ts),
     ) -> Result<Ts, FcwConflict> {
         let mut log = self.log.lock();
         for (key, since) in checks {
@@ -230,8 +243,13 @@ impl Oracle {
             log.last_write.insert(key.clone(), ts);
         }
         self.commits.fetch_add(1, Ordering::Relaxed);
-        install(ts);
+        install(ts, self.watermark_at(ts));
         Ok(ts)
+    }
+
+    /// The watermark inside the commit section that just assigned `ts`.
+    fn watermark_at(&self, ts: Ts) -> Ts {
+        self.snapshots.lock().values().copied().min().unwrap_or(ts)
     }
 
     /// Commit without validation (read-only or plain locking transactions
@@ -240,9 +258,11 @@ impl Oracle {
         self.validate_and_commit(&[], writes).expect("no checks cannot fail")
     }
 
-    /// Drop commit-log entries at or below the watermark (they can never
-    /// fail a future check, since every new FCW check's `since_ts` is at
-    /// least the requester's snapshot, which is ≥ the watermark).
+    /// Drop commit-log entries at or below the watermark. They can never
+    /// fail a future check: a snapshot's `since_ts` is its snapshot, which
+    /// is ≥ the watermark, and an RC+FCW transaction registered before it
+    /// read, so every version it read is at least as new as any entry
+    /// committed before its begin timestamp (≥ the watermark).
     pub fn gc_log(&self, watermark: Ts) {
         self.log.lock().last_write.retain(|_, ts| *ts > watermark);
     }
@@ -281,7 +301,7 @@ impl Oracle {
         txn: TxnId,
         checks: &[(Key, Ts)],
         writes: &[Key],
-        install: impl FnOnce(Ts),
+        install: impl FnOnce(Ts, Ts),
     ) -> Result<Ts, CommitConflict> {
         let mut log = self.log.lock();
         for (key, since) in checks {
@@ -304,7 +324,7 @@ impl Oracle {
         }
         ssi.commit(txn, ts);
         self.commits.fetch_add(1, Ordering::Relaxed);
-        install(ts);
+        install(ts, self.watermark_at(ts));
         Ok(ts)
     }
 

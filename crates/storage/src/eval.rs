@@ -2,6 +2,8 @@
 //!
 //! The engine binds a transaction's scalar environment (parameters, locals)
 //! before evaluation, so `RowExpr::Outer` terms resolve to concrete values.
+//! Column and literal terms are compared as borrows of the row and the
+//! predicate, so testing a row allocates nothing.
 
 use crate::schema::Schema;
 use crate::table::Row;
@@ -9,6 +11,7 @@ use crate::value::Value;
 use semcc_logic::expr::Var;
 use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::CmpOp;
+use std::borrow::Cow;
 
 /// A scalar environment resolving outer variables to values.
 pub type Env<'a> = &'a dyn Fn(&Var) -> Option<Value>;
@@ -18,46 +21,77 @@ pub fn empty_env(_: &Var) -> Option<Value> {
     None
 }
 
-fn eval_row_expr(schema: &Schema, row: &Row, e: &RowExpr, env: Env<'_>) -> Option<Value> {
-    match e {
-        RowExpr::Field(c) => {
-            let idx = schema.column_index(c).ok()?;
-            row.get(idx).cloned()
+/// The value of a row term: strings borrow from the row or the predicate
+/// unless an outer binding supplied them.
+enum Term<'a> {
+    Int(i64),
+    Str(Cow<'a, str>),
+}
+
+impl<'a> Term<'a> {
+    fn of(v: &'a Value) -> Self {
+        match v {
+            Value::Int(i) => Term::Int(*i),
+            Value::Str(s) => Term::Str(Cow::Borrowed(s)),
         }
-        RowExpr::Int(v) => Some(Value::Int(*v)),
-        RowExpr::Str(s) => Some(Value::str(s.clone())),
-        RowExpr::Outer(expr) => {
-            // Try a direct variable lookup first so string-valued outers work.
-            if let semcc_logic::Expr::Var(v) = expr {
-                if let Some(val) = env(v) {
-                    return Some(val);
-                }
-            }
-            let int_env = |v: &Var| env(v).and_then(|val| val.as_int());
-            expr.eval(&int_env).map(Value::Int)
-        }
-        RowExpr::Add(a, b) => {
-            let x = eval_row_expr(schema, row, a, env)?.as_int()?;
-            let y = eval_row_expr(schema, row, b, env)?.as_int()?;
-            Some(Value::Int(x.checked_add(y)?))
-        }
-        RowExpr::Sub(a, b) => {
-            let x = eval_row_expr(schema, row, a, env)?.as_int()?;
-            let y = eval_row_expr(schema, row, b, env)?.as_int()?;
-            Some(Value::Int(x.checked_sub(y)?))
-        }
-        RowExpr::Mul(a, b) => {
-            let x = eval_row_expr(schema, row, a, env)?.as_int()?;
-            let y = eval_row_expr(schema, row, b, env)?.as_int()?;
-            Some(Value::Int(x.checked_mul(y)?))
+    }
+
+    fn int(&self) -> Option<i64> {
+        match self {
+            Term::Int(i) => Some(*i),
+            Term::Str(_) => None,
         }
     }
 }
 
-fn eval_cmp(op: CmpOp, a: &Value, b: &Value) -> Option<bool> {
+fn eval_row_expr<'a>(
+    schema: &Schema,
+    row: &'a Row,
+    e: &'a RowExpr,
+    env: Env<'_>,
+) -> Option<Term<'a>> {
+    match e {
+        RowExpr::Field(c) => {
+            let idx = schema.columns.iter().position(|col| col == c)?;
+            row.get(idx).map(Term::of)
+        }
+        RowExpr::Int(v) => Some(Term::Int(*v)),
+        RowExpr::Str(s) => Some(Term::Str(Cow::Borrowed(s))),
+        RowExpr::Outer(expr) => {
+            // Try a direct variable lookup first so string-valued outers work.
+            if let semcc_logic::Expr::Var(v) = expr {
+                if let Some(val) = env(v) {
+                    return Some(match val {
+                        Value::Int(i) => Term::Int(i),
+                        Value::Str(s) => Term::Str(Cow::Owned(s)),
+                    });
+                }
+            }
+            let int_env = |v: &Var| env(v).and_then(|val| val.as_int());
+            expr.eval(&int_env).map(Term::Int)
+        }
+        RowExpr::Add(a, b) => {
+            let x = eval_row_expr(schema, row, a, env)?.int()?;
+            let y = eval_row_expr(schema, row, b, env)?.int()?;
+            Some(Term::Int(x.checked_add(y)?))
+        }
+        RowExpr::Sub(a, b) => {
+            let x = eval_row_expr(schema, row, a, env)?.int()?;
+            let y = eval_row_expr(schema, row, b, env)?.int()?;
+            Some(Term::Int(x.checked_sub(y)?))
+        }
+        RowExpr::Mul(a, b) => {
+            let x = eval_row_expr(schema, row, a, env)?.int()?;
+            let y = eval_row_expr(schema, row, b, env)?.int()?;
+            Some(Term::Int(x.checked_mul(y)?))
+        }
+    }
+}
+
+fn eval_cmp(op: CmpOp, a: &Term<'_>, b: &Term<'_>) -> Option<bool> {
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Some(op.apply(*x, *y)),
-        (Value::Str(x), Value::Str(y)) => match op {
+        (Term::Int(x), Term::Int(y)) => Some(op.apply(*x, *y)),
+        (Term::Str(x), Term::Str(y)) => match op {
             CmpOp::Eq => Some(x == y),
             CmpOp::Ne => Some(x != y),
             // Ordered string comparison is outside the model.

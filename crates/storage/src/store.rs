@@ -4,7 +4,7 @@
 use crate::error::StorageError;
 use crate::item::ItemCell;
 use crate::schema::Schema;
-use crate::table::Table;
+use crate::table::{Table, View};
 use crate::value::Value;
 use crate::{Ts, TxnId};
 use parking_lot::{Mutex, RwLock};
@@ -161,7 +161,7 @@ impl Store {
         }
         for stripe in &self.table_stripes {
             for table in stripe.read().values() {
-                for (id, _) in table.scan_latest() {
+                for (id, ()) in table.scan(View::Latest, |_, _| Some(())) {
                     max = max.max(table.row_lsn(id).unwrap_or(0));
                 }
             }

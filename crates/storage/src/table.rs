@@ -22,6 +22,20 @@ pub type Row = Vec<Value>;
 /// Stable identifier of a row slot within its table.
 pub type RowId = u64;
 
+/// Which state of each row slot a read sees.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum View {
+    /// Newest state including any dirty write (READ UNCOMMITTED).
+    Latest,
+    /// Newest committed state.
+    Committed,
+    /// A locking-level transaction's own dirty writes over the newest
+    /// committed state; other transactions' dirty writes are invisible.
+    Own(TxnId),
+    /// Newest committed state at or before a snapshot timestamp.
+    At(Ts),
+}
+
 /// A versioned row slot.
 #[derive(Clone, Debug, Default)]
 pub struct RowCell {
@@ -57,6 +71,17 @@ impl RowCell {
         self.committed.iter().rev().find(|(t, _)| *t <= ts).and_then(|(_, v)| v.as_ref())
     }
 
+    /// The state `view` sees.
+    pub fn read(&self, view: View) -> Option<&Row> {
+        match view {
+            View::Latest => self.read_latest(),
+            View::Committed => self.read_committed(),
+            View::Own(txn) if self.dirty_writer() == Some(txn) => self.read_latest(),
+            View::Own(_) => self.read_committed(),
+            View::At(ts) => self.read_at(ts),
+        }
+    }
+
     /// The uncommitted writer, if any.
     pub fn dirty_writer(&self) -> Option<TxnId> {
         self.dirty.as_ref().map(|(t, _)| *t)
@@ -79,14 +104,25 @@ impl RowCell {
         }
     }
 
-    fn promote(&mut self, txn: TxnId, ts: Ts) {
+    fn promote(&mut self, txn: TxnId, ts: Ts, watermark: Ts) {
         if let Some((holder, v)) = self.dirty.take() {
             if holder == txn {
-                self.committed.push((ts, v));
+                self.push(ts, v, watermark);
             } else {
                 self.dirty = Some((holder, v));
             }
         }
+    }
+
+    /// Append a committed version and drop the versions no reader at or
+    /// after `watermark` can see. A slot's first version gets a chain of
+    /// capacity one: most rows are written once.
+    fn push(&mut self, ts: Ts, v: Option<Row>, watermark: Ts) {
+        if self.committed.is_empty() {
+            self.committed.reserve_exact(1);
+        }
+        self.committed.push((ts, v));
+        self.gc(watermark);
     }
 
     fn discard(&mut self, txn: TxnId) {
@@ -154,16 +190,36 @@ impl Table {
     }
 
     /// Collect `(id, f(cell))` across every stripe, sorted by id — the
-    /// scan order the single-map layout produced for free.
-    fn collect_rows<T>(&self, f: impl Fn(&RowId, &RowCell) -> Option<T>) -> Vec<(RowId, T)> {
+    /// scan order the single-map layout produced for free. Only the kept
+    /// entries are sorted.
+    fn collect_cells<T>(&self, mut f: impl FnMut(RowId, &RowCell) -> Option<T>) -> Vec<(RowId, T)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            out.extend(stripe.lock().iter().filter_map(|(id, cell)| f(id, cell).map(|v| (*id, v))));
+            out.extend(
+                stripe.lock().iter().filter_map(|(id, cell)| f(*id, cell).map(|v| (*id, v))),
+            );
         }
         if self.stripes.len() > 1 {
-            out.sort_by_key(|(id, _)| *id);
+            out.sort_unstable_by_key(|(id, _)| *id);
         }
         out
+    }
+
+    /// Scan the rows `view` sees, in id order. `f` gets each visible row
+    /// borrowed, under its stripe's lock, and returns what to keep —
+    /// typically `None` when the row fails a predicate, and a clone of the
+    /// row when it matches — so a scan copies only what it returns.
+    pub fn scan<T>(
+        &self,
+        view: View,
+        mut f: impl FnMut(RowId, &Row) -> Option<T>,
+    ) -> Vec<(RowId, T)> {
+        self.collect_cells(|id, cell| f(id, cell.read(view)?))
+    }
+
+    /// Every row `view` sees, cloned, in id order.
+    pub fn scan_all(&self, view: View) -> Vec<(RowId, Row)> {
+        self.scan(view, |_, row| Some(row.clone()))
     }
 
     fn check_arity(&self, row: &Row) -> Result<(), StorageError> {
@@ -241,13 +297,25 @@ impl Table {
 
     /// Install a committed version of slot `id` directly (SNAPSHOT commit).
     /// `None` commits a delete. A missing slot is created (snapshot insert).
-    pub fn install(&self, ts: Ts, id: RowId, row: Option<Row>) -> Result<(), StorageError> {
+    /// Versions no reader at or after `watermark` can see are dropped, and
+    /// so is the slot once it is dead to all of them. A `watermark` of 0
+    /// prunes no version; it drops only a slot that never held a row.
+    pub fn install(
+        &self,
+        ts: Ts,
+        id: RowId,
+        row: Option<Row>,
+        watermark: Ts,
+    ) -> Result<(), StorageError> {
         if let Some(r) = &row {
             self.check_arity(r)?;
         }
         let mut rows = self.rows(id).lock();
         let cell = rows.entry(id).or_default();
-        cell.committed.push((ts, row));
+        cell.push(ts, row, watermark);
+        if cell.is_garbage(watermark) {
+            rows.remove(&id);
+        }
         Ok(())
     }
 
@@ -256,10 +324,15 @@ impl Table {
         self.next_row.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Promote `txn`'s dirty changes on `id` (commit).
-    pub fn promote_row(&self, txn: TxnId, id: RowId, ts: Ts) {
-        if let Some(cell) = self.rows(id).lock().get_mut(&id) {
-            cell.promote(txn, ts);
+    /// Promote `txn`'s dirty changes on `id` (commit), pruning against
+    /// `watermark` as [`Table::install`] does.
+    pub fn promote_row(&self, txn: TxnId, id: RowId, ts: Ts, watermark: Ts) {
+        let mut rows = self.rows(id).lock();
+        if let Some(cell) = rows.get_mut(&id) {
+            cell.promote(txn, ts, watermark);
+            if cell.is_garbage(watermark) {
+                rows.remove(&id);
+            }
         }
     }
 
@@ -275,57 +348,14 @@ impl Table {
         }
     }
 
-    /// Scan visible rows, newest-including-dirty (READ UNCOMMITTED view).
-    pub fn scan_latest(&self) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| cell.read_latest().cloned())
+    /// Read one slot under `view`, borrowed by `f`.
+    pub fn read_row_with<T>(&self, view: View, id: RowId, f: impl FnOnce(&Row) -> T) -> Option<T> {
+        self.rows(id).lock().get(&id).and_then(|c| c.read(view)).map(f)
     }
 
-    /// Scan newest committed rows.
-    pub fn scan_committed(&self) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| cell.read_committed().cloned())
-    }
-
-    /// Scan rows as transaction `txn` sees them under a locking level:
-    /// its own dirty changes overlay the newest committed state; other
-    /// transactions' dirty changes are invisible.
-    pub fn scan_visible(&self, txn: TxnId) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| {
-            match cell.dirty_writer() {
-                Some(w) if w == txn => cell.read_latest(),
-                _ => cell.read_committed(),
-            }
-            .cloned()
-        })
-    }
-
-    /// Read one slot as transaction `txn` sees it under a locking level.
-    pub fn read_row_visible(&self, txn: TxnId, id: RowId) -> Option<Row> {
-        let rows = self.rows(id).lock();
-        let cell = rows.get(&id)?;
-        match cell.dirty_writer() {
-            Some(w) if w == txn => cell.read_latest().cloned(),
-            _ => cell.read_committed().cloned(),
-        }
-    }
-
-    /// Scan rows visible at snapshot `ts`.
-    pub fn scan_at(&self, ts: Ts) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| cell.read_at(ts).cloned())
-    }
-
-    /// Read one slot under the chosen visibility.
-    pub fn read_row_committed(&self, id: RowId) -> Option<Row> {
-        self.rows(id).lock().get(&id).and_then(|c| c.read_committed().cloned())
-    }
-
-    /// Read one slot at snapshot `ts`.
-    pub fn read_row_at(&self, id: RowId, ts: Ts) -> Option<Row> {
-        self.rows(id).lock().get(&id).and_then(|c| c.read_at(ts).cloned())
-    }
-
-    /// Read one slot including dirty state.
-    pub fn read_row_latest(&self, id: RowId) -> Option<Row> {
-        self.rows(id).lock().get(&id).and_then(|c| c.read_latest().cloned())
+    /// Read one slot under `view`.
+    pub fn read_row(&self, view: View, id: RowId) -> Option<Row> {
+        self.read_row_with(view, id, Row::clone)
     }
 
     /// Latest commit timestamp of a slot (None if never committed).
@@ -341,7 +371,7 @@ impl Table {
     /// Every row slot with an uncommitted version, with its writer
     /// (post-abort auditing: an aborted writer must own none).
     pub fn dirty_rows(&self) -> Vec<(RowId, TxnId)> {
-        self.collect_rows(|_, c| c.dirty_writer())
+        self.collect_cells(|_, c| c.dirty_writer())
     }
 
     /// Garbage-collect versions below the watermark and drop dead slots.
@@ -382,19 +412,19 @@ mod tests {
     fn dirty_insert_visible_only_to_latest() {
         let t = orders();
         t.insert_dirty(1, row(1, "a", 10, false)).expect("insert");
-        assert_eq!(t.scan_latest().len(), 1);
-        assert_eq!(t.scan_committed().len(), 0);
-        assert_eq!(t.scan_at(100).len(), 0);
+        assert_eq!(t.scan_all(View::Latest).len(), 1);
+        assert_eq!(t.scan_all(View::Committed).len(), 0);
+        assert_eq!(t.scan_all(View::At(100)).len(), 0);
     }
 
     #[test]
     fn promote_makes_row_committed() {
         let t = orders();
         let id = t.insert_dirty(1, row(1, "a", 10, false)).expect("insert");
-        t.promote_row(1, id, 5);
-        assert_eq!(t.scan_committed().len(), 1);
-        assert_eq!(t.scan_at(4).len(), 0);
-        assert_eq!(t.scan_at(5).len(), 1);
+        t.promote_row(1, id, 5, 0);
+        assert_eq!(t.scan_all(View::Committed).len(), 1);
+        assert_eq!(t.scan_all(View::At(4)).len(), 0);
+        assert_eq!(t.scan_all(View::At(5)).len(), 1);
     }
 
     #[test]
@@ -402,7 +432,7 @@ mod tests {
         let t = orders();
         let id = t.insert_dirty(1, row(1, "a", 10, false)).expect("insert");
         t.discard_row(1, id);
-        assert_eq!(t.scan_latest().len(), 0);
+        assert_eq!(t.scan_all(View::Latest).len(), 0);
         assert_eq!(t.committed_len(), 0);
     }
 
@@ -411,15 +441,15 @@ mod tests {
         let t = orders();
         let id = t.load_row(1, row(1, "a", 10, false)).expect("load");
         t.update_dirty(2, id, row(1, "a", 10, true)).expect("update");
-        assert!(t.read_row_latest(id).expect("present")[3].is_truthy());
-        assert!(!t.read_row_committed(id).expect("present")[3].is_truthy());
+        assert!(t.read_row(View::Latest, id).expect("present")[3].is_truthy());
+        assert!(!t.read_row(View::Committed, id).expect("present")[3].is_truthy());
         t.discard_row(2, id);
-        assert!(!t.read_row_latest(id).expect("present")[3].is_truthy());
+        assert!(!t.read_row(View::Latest, id).expect("present")[3].is_truthy());
 
         t.delete_dirty(3, id).expect("delete");
-        assert!(t.read_row_latest(id).is_none());
+        assert!(t.read_row(View::Latest, id).is_none());
         t.discard_row(3, id);
-        assert!(t.read_row_latest(id).is_some());
+        assert!(t.read_row(View::Latest, id).is_some());
     }
 
     #[test]
@@ -427,9 +457,9 @@ mod tests {
         let t = orders();
         let id = t.load_row(1, row(1, "a", 10, false)).expect("load");
         t.delete_dirty(2, id).expect("delete");
-        t.promote_row(2, id, 7);
-        assert_eq!(t.scan_committed().len(), 0);
-        assert_eq!(t.scan_at(6).len(), 1, "old snapshot still sees the row");
+        t.promote_row(2, id, 7, 0);
+        assert_eq!(t.scan_all(View::Committed).len(), 0);
+        assert_eq!(t.scan_all(View::At(6)).len(), 1, "old snapshot still sees the row");
     }
 
     #[test]
@@ -456,11 +486,11 @@ mod tests {
     fn snapshot_install_insert_and_delete() {
         let t = orders();
         let id = t.reserve_row_id();
-        t.install(9, id, Some(row(2, "b", 11, false))).expect("install");
-        assert_eq!(t.scan_at(9).len(), 1);
-        assert_eq!(t.scan_at(8).len(), 0);
-        t.install(12, id, None).expect("install delete");
-        assert_eq!(t.scan_committed().len(), 0);
+        t.install(9, id, Some(row(2, "b", 11, false)), 0).expect("install");
+        assert_eq!(t.scan_all(View::At(9)).len(), 1);
+        assert_eq!(t.scan_all(View::At(8)).len(), 0);
+        t.install(12, id, None, 0).expect("install delete");
+        assert_eq!(t.scan_all(View::Committed).len(), 0);
     }
 
     #[test]
@@ -486,7 +516,7 @@ mod tests {
         for i in 0..16 {
             t.load_row(1, row(i, "c", i, false)).expect("load");
         }
-        let ids: Vec<RowId> = t.scan_committed().iter().map(|(id, _)| *id).collect();
+        let ids: Vec<RowId> = t.scan_all(View::Committed).iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, (1..=16).collect::<Vec<_>>(), "merge across stripes is id-ascending");
         assert_eq!(t.committed_len(), 16);
         t.update_dirty(9, 3, row(3, "c", 3, true)).expect("update");
@@ -501,12 +531,51 @@ mod tests {
         let t = orders();
         let id = t.load_row(1, row(1, "a", 10, false)).expect("load");
         t.update_dirty(2, id, row(1, "a", 10, true)).expect("update");
-        t.promote_row(2, id, 5);
+        t.promote_row(2, id, 5, 0);
         t.delete_dirty(3, id).expect("delete");
-        t.promote_row(3, id, 8);
+        t.promote_row(3, id, 8, 0);
         t.gc(10);
-        assert_eq!(t.scan_latest().len(), 0);
+        assert_eq!(t.scan_all(View::Latest).len(), 0);
         // fully dead slot dropped
-        assert!(t.read_row_at(id, 5).is_none());
+        assert!(t.read_row(View::At(5), id).is_none());
+    }
+
+    #[test]
+    fn commits_prune_against_the_watermark() {
+        let t = orders();
+        let id = t.insert_dirty(1, row(1, "a", 10, false)).expect("insert");
+        t.promote_row(1, id, 1, 1);
+        {
+            let rows = t.rows(id).lock();
+            assert_eq!(rows[&id].committed.capacity(), 1, "a new slot holds one version");
+        }
+        // A reader pinned at 1 keeps version 1 alive across later pushes.
+        for ts in 2..5 {
+            t.update_dirty(ts, id, row(1, "a", 10 + ts as i64, false)).expect("update");
+            t.promote_row(ts, id, ts, 1);
+        }
+        assert_eq!(t.read_row(View::At(1), id).expect("pinned")[2], Value::Int(10));
+        assert_eq!(t.rows(id).lock()[&id].committed.len(), 4);
+        // Once the pin is gone, the next push keeps only what `At(5)` sees.
+        t.install(5, id, Some(row(1, "a", 99, false)), 5).expect("install");
+        assert_eq!(t.rows(id).lock()[&id].committed.len(), 1);
+        assert_eq!(t.read_row(View::Committed, id).expect("live")[2], Value::Int(99));
+    }
+
+    #[test]
+    fn a_delete_no_reader_can_see_past_drops_the_slot() {
+        let t = orders();
+        let kept = t.load_row(0, row(1, "a", 10, false)).expect("load");
+        let dropped = t.load_row(0, row(2, "b", 11, false)).expect("load");
+        // Pinned at 0: the old row stays readable, so the slot stays.
+        t.delete_dirty(1, kept).expect("delete");
+        t.promote_row(1, kept, 1, 0);
+        assert!(t.read_row(View::At(0), kept).is_some());
+        // Unpinned: the deleted slot goes at once.
+        t.install(2, dropped, None, 2).expect("install delete");
+        assert!(t.rows(dropped).lock().get(&dropped).is_none());
+        // The sweep reclaims the first slot once its reader is gone.
+        t.gc(2);
+        assert!(t.rows(kept).lock().get(&kept).is_none());
     }
 }

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semcc_storage::{ItemCell, Schema, Table, Value};
+use semcc_storage::{ItemCell, Schema, Table, Value, View};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -157,7 +157,9 @@ fn table_agrees_with_model() {
                 }
                 TableOp::PromoteAll { txn } => {
                     for (id, (committed, dirty)) in slots.iter_mut() {
-                        table.promote_row(txn as u64, *id, next_ts);
+                        // Watermark = the commit ts: nothing reads older versions here,
+                        // so every promote also prunes its chain.
+                        table.promote_row(txn as u64, *id, next_ts, next_ts);
                         if let Some((holder, v)) = dirty {
                             if *holder == txn {
                                 *committed = Some(*v);
@@ -180,7 +182,7 @@ fn table_agrees_with_model() {
             // committed view must match the model
             let expected: Vec<i64> = slots.values().filter_map(|(c, _)| *c).collect();
             let mut actual: Vec<i64> = table
-                .scan_committed()
+                .scan_all(View::Committed)
                 .into_iter()
                 .map(|(_, row)| row[0].as_int().expect("int"))
                 .collect();
